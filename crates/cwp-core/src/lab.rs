@@ -10,8 +10,8 @@ use cwp_trace::{workloads, MemRef, Scale, TraceSink, Workload};
 use crate::obs::{trace_replay, trace_simulation, TraceOptions};
 use crate::shard::ShardReport;
 use crate::sim::{
-    replay, replay_audited, simulate, simulate_audited, simulate_many_audited,
-    simulate_many_sharded, simulate_many_streamed, SimOutcome,
+    simulate_audited, simulate_many_audited, simulate_many_sharded, simulate_many_streamed,
+    SimOutcome,
 };
 use crate::store::TraceStore;
 use cwp_trace::RecordedTrace;
@@ -135,8 +135,9 @@ impl Lab {
     }
 
     /// Sets the worker-thread budget for sweep fan-out: with more than
-    /// one thread, [`Lab::outcomes_sweep`] runs its banked pass through
-    /// the work-stealing shard scheduler ([`simulate_many_sharded`]).
+    /// one thread, a banked pass over a recording (see
+    /// [`Lab::outcomes_sweep`]) runs through the work-stealing shard
+    /// scheduler ([`simulate_many_sharded`]).
     /// Outcomes are identical at every thread count — parallelism only
     /// changes wall clock. Defaults to 1 (fully serial).
     pub fn set_threads(&mut self, threads: usize) {
@@ -156,11 +157,12 @@ impl Lab {
     }
 
     /// Turns on the runtime invariant audit: every untraced simulation
-    /// runs with an [`cwp_verify::InvariantAuditor`] probe plus
-    /// per-reference sub-block mask checks, and sweep banking is
-    /// cross-checked against audited single replays. Outcomes are
-    /// identical to unaudited runs — the audit observes, it never
-    /// steers — so figures come out byte-for-byte the same.
+    /// runs on the data-carrying engine with an
+    /// [`cwp_verify::InvariantAuditor`] probe plus per-reference
+    /// sub-block mask checks, and the banked outcomes are cross-checked
+    /// against those audited replays. Outcomes are identical to
+    /// unaudited runs — the audit observes, it never steers — so
+    /// figures come out byte-for-byte the same.
     ///
     /// A violated invariant panics with the typed error's message;
     /// under the supervised runner that panic is isolated per job and
@@ -251,54 +253,87 @@ impl Lab {
             .as_ref()
     }
 
-    /// The simulation outcome for (`workload`, `config`), running it if
-    /// not already memoized.
+    /// The simulation outcome for (`workload`, `config`). A memo hit is
+    /// one lookup; a miss is a one-configuration [`Lab::outcomes_sweep`],
+    /// so it runs on the same engine, with the same accounting.
     ///
     /// # Panics
     ///
     /// Panics if `workload` is not one of the six benchmarks.
     pub fn outcome(&mut self, workload: &str, config: &CacheConfig) -> Arc<SimOutcome> {
-        let key = (workload.to_string(), *config);
-        if let Some(hit) = self.memo.get(&key) {
+        if let Some(hit) = self.memo.get(&(workload.to_string(), *config)) {
             return Arc::clone(hit);
         }
-        let idx = self
-            .workloads
-            .iter()
-            .position(|w| w.name() == workload)
-            .unwrap_or_else(|| panic!("unknown workload {workload}"));
-        let outcome = Arc::new(self.run_one(idx, config));
-        self.runs += 1;
-        self.memo.insert(key, Arc::clone(&outcome));
-        outcome
+        self.outcomes_sweep(workload, std::slice::from_ref(config))
+            .pop()
+            .expect("one configuration, one outcome")
     }
 
-    /// One actual simulation, traced when tracing is on and the workload
-    /// passes the filter. A trace I/O failure is reported and the run
-    /// falls back to the untraced path — figures still come out. The run
+    /// Simulates `configs` (none of them memoized) for workload `idx`,
+    /// returning outcomes in `configs` order: the engine choice that
+    /// [`Lab::outcomes_sweep`] documents. Every path but the traced one
+    /// asks the store for the recording once per call.
+    fn simulate_missing(&mut self, idx: usize, configs: &[CacheConfig]) -> Vec<SimOutcome> {
+        let name = self.workloads[idx].name();
+        let traced = self
+            .trace
+            .as_ref()
+            .is_some_and(|trace| trace.only.as_deref().is_none_or(|only| only == name));
+        if traced {
+            return configs
+                .iter()
+                .map(|config| self.run_traced(idx, config))
+                .collect();
+        }
+        let recording = self.store.get_or_record(self.workloads[idx].as_ref());
+        self.run_untraced(idx, recording.as_deref(), configs)
+    }
+
+    /// The untraced arm of [`Lab::simulate_missing`].
+    fn run_untraced(
+        &mut self,
+        idx: usize,
+        recording: Option<&RecordedTrace>,
+        configs: &[CacheConfig],
+    ) -> Vec<SimOutcome> {
+        let w = self.workloads[idx].as_ref();
+        match (self.audit, recording) {
+            (false, Some(rec)) => {
+                let (outcomes, report) = simulate_many_sharded(rec, configs, self.threads, None);
+                self.shard_report.threads = report.threads;
+                self.shard_report.executed += report.executed;
+                self.shard_report.stolen += report.stolen;
+                self.shard_report.shard_us.extend(report.shard_us);
+                outcomes.expect("an uncancellable sweep always completes")
+            }
+            // No recording fits the store budget (paper-scale
+            // workloads): stream the generator once through the whole
+            // bank instead of once per configuration.
+            (false, None) => simulate_many_streamed(w, self.scale, configs, self.threads),
+            (true, Some(rec)) => simulate_many_audited(rec, configs)
+                .unwrap_or_else(|e| panic!("invariant audit failed for {}: {e}", w.name())),
+            // The audited no-recording path keeps per-configuration
+            // live runs so the auditor sees every reference.
+            (true, None) => configs
+                .iter()
+                .map(|config| {
+                    simulate_audited(w, self.scale, config).unwrap_or_else(|e| {
+                        panic!("invariant audit failed for {}/{config}: {e}", w.name())
+                    })
+                })
+                .collect(),
+        }
+    }
+
+    /// One traced simulation on the data-carrying engine, exporting its
+    /// run directory. A trace I/O failure is reported and the run falls
+    /// back to the untraced path — figures still come out. The run
     /// replays the store's recording when one exists, and drives the
     /// generator live otherwise (store disabled or over budget).
-    fn run_one(&mut self, idx: usize, config: &CacheConfig) -> SimOutcome {
+    fn run_traced(&mut self, idx: usize, config: &CacheConfig) -> SimOutcome {
         let w = self.workloads[idx].as_ref();
         let recording = self.store.get_or_record(w);
-        let audit = self.audit;
-        let scale = self.scale;
-        let untraced = |rec: Option<&RecordedTrace>| match (audit, rec) {
-            (false, Some(rec)) => replay(rec, config),
-            (false, None) => simulate(w, scale, config),
-            (true, Some(rec)) => replay_audited(rec, config).unwrap_or_else(|e| {
-                panic!("invariant audit failed for {}/{config}: {e}", w.name())
-            }),
-            (true, None) => simulate_audited(w, scale, config).unwrap_or_else(|e| {
-                panic!("invariant audit failed for {}/{config}: {e}", w.name())
-            }),
-        };
-        let Some(trace) = &mut self.trace else {
-            return untraced(recording.as_deref());
-        };
-        if trace.only.as_deref().is_some_and(|only| only != w.name()) {
-            return untraced(recording.as_deref());
-        }
+        let trace = self.trace.as_mut().expect("only called while tracing");
         let dir =
             trace
                 .options
@@ -320,7 +355,9 @@ impl Lab {
                     "trace of {context}/{} failed: {e}; rerunning untraced",
                     w.name()
                 );
-                untraced(recording.as_deref())
+                self.run_untraced(idx, recording.as_deref(), std::slice::from_ref(config))
+                    .pop()
+                    .expect("one configuration, one outcome")
             }
         }
     }
@@ -369,15 +406,20 @@ impl Lab {
     /// Outcomes for one workload across a whole configuration sweep,
     /// in `configs` order.
     ///
-    /// Equivalent to calling [`Lab::outcome`] per configuration — same
-    /// outcomes, same memoization, same run accounting — but when
-    /// several configurations are missing from the memo they are
-    /// simulated as one banked pass: a sharded replay of the store's
-    /// recording ([`simulate_many_sharded`], on [`Lab::set_threads`]
-    /// workers), or — when no recording fits the store budget — one
-    /// streamed generator run feeding the whole bank
-    /// ([`simulate_many_streamed`]). Traced runs keep the
-    /// per-configuration path so every run directory still appears.
+    /// Every configuration missing from the memo is simulated and
+    /// memoized; [`Lab::runs`] grows by one per simulated configuration,
+    /// and [`Lab::outcome`] is this with one configuration. Untraced,
+    /// unaudited runs take one banked pass over the missing bank: a
+    /// sharded replay of the store's recording
+    /// ([`simulate_many_sharded`], on [`Lab::set_threads`] workers), or —
+    /// when no recording fits the store budget — one streamed generator
+    /// run ([`simulate_many_streamed`]). Both run fault-free
+    /// configurations on the data-free `SoaCache` and fault-injecting
+    /// ones on the data-carrying engine. With [`Lab::enable_audit`] the
+    /// bank is cross-checked against audited data-engine replays
+    /// ([`simulate_many_audited`]); with [`Lab::enable_trace`] each
+    /// configuration runs on the data-carrying engine on its own, so
+    /// every run directory still appears.
     ///
     /// # Panics
     ///
@@ -394,55 +436,22 @@ impl Lab {
                 missing.push(*config);
             }
         }
-        let tracing_this = self
-            .trace
-            .as_ref()
-            .is_some_and(|trace| trace.only.as_deref().is_none_or(|only| only == workload));
-        if missing.len() > 1 && !tracing_this {
-            let w = self.workload(workload);
-            let recording = self.store.get_or_record(w);
-            let outcomes = match (self.audit, recording.as_deref()) {
-                (true, Some(rec)) => {
-                    Some(simulate_many_audited(rec, &missing).unwrap_or_else(|e| {
-                        panic!("invariant audit failed for {workload} sweep: {e}")
-                    }))
-                }
-                (false, Some(rec)) => {
-                    let (outcomes, report) =
-                        simulate_many_sharded(rec, &missing, self.threads, None);
-                    self.shard_report.threads = report.threads;
-                    self.shard_report.executed += report.executed;
-                    self.shard_report.stolen += report.stolen;
-                    self.shard_report.shard_us.extend(report.shard_us);
-                    Some(outcomes.expect("an uncancellable sweep always completes"))
-                }
-                // No recording fits the store budget (paper-scale
-                // workloads): stream the generator once through the
-                // whole missing bank instead of once per configuration.
-                (false, None) => {
-                    let w = self.workload(workload);
-                    Some(simulate_many_streamed(
-                        w,
-                        self.scale,
-                        &missing,
-                        self.threads,
-                    ))
-                }
-                // The audited no-recording path keeps per-configuration
-                // live runs so the auditor sees every reference.
-                (true, None) => None,
-            };
-            if let Some(outcomes) = outcomes {
-                for (config, outcome) in missing.iter().zip(outcomes) {
-                    self.runs += 1;
-                    self.memo
-                        .insert((workload.to_string(), *config), Arc::new(outcome));
-                }
+        if !missing.is_empty() {
+            let idx = self
+                .workloads
+                .iter()
+                .position(|w| w.name() == workload)
+                .unwrap_or_else(|| panic!("unknown workload {workload}"));
+            let outcomes = self.simulate_missing(idx, &missing);
+            for (config, outcome) in missing.iter().zip(outcomes) {
+                self.runs += 1;
+                self.memo
+                    .insert((workload.to_string(), *config), Arc::new(outcome));
             }
         }
         configs
             .iter()
-            .map(|config| self.outcome(workload, config))
+            .map(|config| Arc::clone(&self.memo[&(workload.to_string(), *config)]))
             .collect()
     }
 }
@@ -696,6 +705,102 @@ mod tests {
         let b = lab2.outcome("linpack", &cfg);
         assert_eq!(a.stats, b.stats);
         assert_eq!(store.recordings(), 1, "second lab reused the recording");
+    }
+
+    /// Every valid write-hit x write-miss combination at 1/2/4 ways
+    /// and three line sizes.
+    fn engine_grid() -> Vec<CacheConfig> {
+        use cwp_cache::{WriteHitPolicy, WriteMissPolicy};
+        let mut grid = Vec::new();
+        for hit in WriteHitPolicy::ALL {
+            for miss in WriteMissPolicy::ALL {
+                for ways in [1u32, 2, 4] {
+                    for line in [8u32, 16, 32] {
+                        // The builder rejects write-back with a
+                        // no-write-allocate miss policy.
+                        if let Ok(config) = CacheConfig::builder()
+                            .size_bytes(2048)
+                            .line_bytes(line)
+                            .associativity(ways)
+                            .write_hit(hit)
+                            .write_miss(miss)
+                            .build()
+                        {
+                            grid.push(config);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(grid.len(), 6 * 3 * 3, "six policy combinations");
+        grid
+    }
+
+    fn assert_same_as_replay(got: &SimOutcome, want: &SimOutcome, what: &str) {
+        assert_eq!(got.summary, want.summary, "{what}");
+        assert_eq!(got.stats, want.stats, "{what}");
+        assert_eq!(got.traffic_execution, want.traffic_execution, "{what}");
+        assert_eq!(got.traffic_total, want.traffic_total, "{what}");
+    }
+
+    #[test]
+    fn lab_outcomes_match_the_data_engine_across_the_policy_grid() {
+        // Lab::outcome runs fault-free configs on the banked SoA engine;
+        // sim::replay is the data-carrying golden reference. Both the
+        // recorded (sharded) and the store-less (streamed) paths must
+        // match it exactly, one run and one store lookup per config.
+        let grid = engine_grid();
+        for name in ["yacc", "met"] {
+            let trace =
+                RecordedTrace::record(workloads::by_name(name).unwrap().as_ref(), Scale::Test);
+            let mut recorded = Lab::new(Scale::Test);
+            let mut streamed = Lab::new(Scale::Test);
+            streamed.set_store(Arc::new(TraceStore::disabled(Scale::Test)));
+            for (n, config) in grid.iter().enumerate() {
+                let want = crate::sim::replay(&trace, config);
+                for lab in [&mut recorded, &mut streamed] {
+                    let (hits, misses) = (lab.store().hits(), lab.store().misses());
+                    let got = lab.outcome(name, config);
+                    assert_same_as_replay(&got, &want, &format!("{name} {config}"));
+                    assert_eq!(lab.runs(), n as u64 + 1, "{name} {config}");
+                    let lookups = lab.store().hits() + lab.store().misses() - hits - misses;
+                    assert_eq!(lookups, 1, "{name} {config}: one store lookup");
+                }
+            }
+            // Past the first capture, every lookup is a hit; a disabled
+            // store only ever misses.
+            assert_eq!(recorded.store().hits(), grid.len() as u64 - 1);
+            assert_eq!(recorded.store().misses(), 1);
+            assert_eq!(streamed.store().hits(), 0);
+            assert_eq!(streamed.store().misses(), grid.len() as u64);
+            // Memoized: asking again simulates nothing and looks up nothing.
+            let before = recorded.store().hits();
+            recorded.outcomes_sweep(name, &grid);
+            assert_eq!(recorded.runs(), grid.len() as u64);
+            assert_eq!(recorded.store().hits(), before);
+        }
+    }
+
+    #[test]
+    fn fault_injecting_outcomes_still_run_on_the_data_engine() {
+        let faulty = CacheConfig::builder()
+            .write_hit(cwp_cache::WriteHitPolicy::WriteBack)
+            .fault_rate_ppm(5_000)
+            .fault_seed(7)
+            .build()
+            .unwrap();
+        let w = workloads::grr();
+        let want = crate::sim::replay(&RecordedTrace::record(w.as_ref(), Scale::Test), &faulty);
+        let mut recorded = Lab::new(Scale::Test);
+        let mut streamed = Lab::new(Scale::Test);
+        streamed.set_store(Arc::new(TraceStore::disabled(Scale::Test)));
+        for lab in [&mut recorded, &mut streamed] {
+            let got = lab.outcome("grr", &faulty);
+            assert!(got.stats.faults.injected > 0, "the config must inject");
+            assert_eq!(got.stats.faults, want.stats.faults);
+            assert_same_as_replay(&got, &want, "faulty grr");
+            assert_eq!(lab.runs(), 1);
+        }
     }
 
     #[test]

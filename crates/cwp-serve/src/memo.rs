@@ -23,7 +23,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use cwp_chaos::{read_jsonl_tolerant_io, write_jsonl_atomic_io, ChaosIo, RealIo};
+use cwp_chaos::{read_jsonl_tolerant_io, write_atomic, ChaosIo, RealIo};
 use cwp_obs::json::Json;
 use cwp_obs::obs_warn;
 
@@ -36,20 +36,44 @@ pub const MEMO_FILE: &str = "memo.jsonl";
 pub struct MemoStore {
     path: Option<PathBuf>,
     io: Arc<dyn ChaosIo>,
-    entries: Mutex<HashMap<(u64, String), ResultSummary>>,
+    entries: Mutex<Entries>,
+    /// Serializes journal rewrites and holds the [`Entries::version`]
+    /// the journal on disk was last written from. A writer snapshots
+    /// the entries and renames its file while holding it, so no two
+    /// writers share the `.tmp` sibling and the last rename always
+    /// carries the newest snapshot.
+    journal: Mutex<u64>,
     /// Journal lines skipped on reload because they failed to decode
     /// (excluding a torn final line, which is the expected crash tail).
     corrupt_lines: u64,
 }
 
+/// The in-memory entry map.
+struct Entries {
+    map: HashMap<(u64, String), ResultSummary>,
+    /// Bumped by every insert, so a journal writer can tell whether a
+    /// later snapshot already carried its entry to disk.
+    version: u64,
+}
+
 impl MemoStore {
     /// An in-memory store that never touches disk.
     pub fn ephemeral() -> Self {
+        MemoStore::with_entries(None, Arc::new(RealIo), HashMap::new(), 0)
+    }
+
+    fn with_entries(
+        path: Option<PathBuf>,
+        io: Arc<dyn ChaosIo>,
+        map: HashMap<(u64, String), ResultSummary>,
+        corrupt_lines: u64,
+    ) -> Self {
         MemoStore {
-            path: None,
-            io: Arc::new(RealIo),
-            entries: Mutex::new(HashMap::new()),
-            corrupt_lines: 0,
+            path,
+            io,
+            entries: Mutex::new(Entries { map, version: 0 }),
+            journal: Mutex::new(0),
+            corrupt_lines,
         }
     }
 
@@ -90,12 +114,12 @@ impl MemoStore {
                 );
             }
         }
-        Ok(MemoStore {
-            path: Some(path),
+        Ok(MemoStore::with_entries(
+            Some(path),
             io,
-            entries: Mutex::new(entries),
+            entries,
             corrupt_lines,
-        })
+        ))
     }
 
     /// Journal lines that failed to decode on reload (torn final line
@@ -108,20 +132,23 @@ impl MemoStore {
     /// panicked between map insert and journal write leaves a coherent
     /// map (at worst an entry the journal doesn't have yet), and one
     /// panicked writer must not take down every later memo lookup.
-    fn entries(&self) -> MutexGuard<'_, HashMap<(u64, String), ResultSummary>> {
+    fn entries(&self) -> MutexGuard<'_, Entries> {
         self.entries.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Looks up a memoized result.
     pub fn get(&self, trace_hash: u64, config_key: &str) -> Option<ResultSummary> {
         self.entries()
+            .map
             .get(&(trace_hash, config_key.to_string()))
             .cloned()
     }
 
     /// Inserts a result and, when backed by disk, rewrites the journal
     /// atomically. Re-inserting an existing key is a no-op (no journal
-    /// churn), which keeps duplicate in-flight computations cheap.
+    /// churn), which keeps duplicate in-flight computations cheap, and
+    /// so is the rewrite when a concurrent writer's newer snapshot has
+    /// already carried this entry to disk.
     ///
     /// # Errors
     ///
@@ -133,34 +160,17 @@ impl MemoStore {
         config_key: String,
         result: ResultSummary,
     ) -> io::Result<()> {
-        let lines = {
+        let version = {
             let mut entries = self.entries();
-            if entries.get(&(trace_hash, config_key.clone())) == Some(&result) {
+            let key = (trace_hash, config_key);
+            if entries.map.get(&key) == Some(&result) {
                 return Ok(());
             }
-            entries.insert((trace_hash, config_key), result);
-            match &self.path {
-                None => return Ok(()),
-                Some(_) => {
-                    let mut lines: Vec<Json> = entries
-                        .iter()
-                        .map(|((hash, key), result)| encode_entry(*hash, key, result))
-                        .collect();
-                    // Deterministic journal order so repeated saves of
-                    // the same contents are byte-identical.
-                    lines.sort_by(|a, b| {
-                        let mut sa = String::new();
-                        let mut sb = String::new();
-                        a.write(&mut sa);
-                        b.write(&mut sb);
-                        sa.cmp(&sb)
-                    });
-                    lines
-                }
-            }
+            entries.map.insert(key, result);
+            entries.version += 1;
+            entries.version
         };
-        let path = self.path.as_ref().expect("checked above");
-        write_jsonl_atomic_io(&self.io, path, &lines)
+        self.write_journal(Some(version))
     }
 
     /// Rewrites the journal from the current in-memory entries — the
@@ -171,30 +181,54 @@ impl MemoStore {
     ///
     /// Fails when the journal rewrite fails.
     pub fn flush(&self) -> io::Result<()> {
+        self.write_journal(None)
+    }
+
+    /// Rewrites the journal atomically from a snapshot of the entries,
+    /// one writer at a time. With `covers`, the rewrite is skipped when
+    /// the journal already holds a snapshot at least that new. Each
+    /// entry is rendered once and the journal is sorted by the rendered
+    /// lines, so saves of the same contents are byte-identical; the
+    /// entry map is locked only while it is copied.
+    fn write_journal(&self, covers: Option<u64>) -> io::Result<()> {
         let Some(path) = &self.path else {
             return Ok(());
         };
-        let lines = {
+        let mut journaled = self.journal.lock().unwrap_or_else(|e| e.into_inner());
+        if covers.is_some_and(|version| *journaled >= version) {
+            return Ok(());
+        }
+        let (version, snapshot) = {
             let entries = self.entries();
-            let mut lines: Vec<Json> = entries
+            let snapshot: Vec<((u64, String), ResultSummary)> = entries
+                .map
                 .iter()
-                .map(|((hash, key), result)| encode_entry(*hash, key, result))
+                .map(|(key, result)| (key.clone(), result.clone()))
                 .collect();
-            lines.sort_by(|a, b| {
-                let mut sa = String::new();
-                let mut sb = String::new();
-                a.write(&mut sa);
-                b.write(&mut sb);
-                sa.cmp(&sb)
-            });
-            lines
+            (entries.version, snapshot)
         };
-        write_jsonl_atomic_io(&self.io, path, &lines)
+        let mut lines: Vec<String> = snapshot
+            .iter()
+            .map(|((hash, key), result)| {
+                let mut line = String::new();
+                encode_entry(*hash, key, result).write(&mut line);
+                line
+            })
+            .collect();
+        lines.sort_unstable();
+        let mut text = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+        for line in &lines {
+            text.push_str(line);
+            text.push('\n');
+        }
+        write_atomic(&*self.io, path, text.as_bytes())?;
+        *journaled = version;
+        Ok(())
     }
 
     /// Number of memoized results.
     pub fn len(&self) -> usize {
-        self.entries().len()
+        self.entries().map.len()
     }
 
     /// `true` when nothing has been memoized yet.
@@ -340,6 +374,44 @@ mod tests {
         assert_eq!(store.len(), 2);
         assert!(!store.is_empty());
         store.flush().unwrap();
+    }
+
+    #[test]
+    fn concurrent_puts_all_reach_the_journal() {
+        // Workers put concurrently; every put must succeed and the
+        // journal left behind must hold every key.
+        let dir = std::env::temp_dir().join(format!("cwp-memo-race-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = Arc::new(MemoStore::open(&dir).unwrap());
+        const THREADS: u64 = 4;
+        const PUTS: u64 = 100;
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let store = Arc::clone(&store);
+                std::thread::spawn(move || {
+                    for i in 0..PUTS {
+                        store
+                            .put(t, format!("cfg-{i}"), sample(t * PUTS + i))
+                            .unwrap_or_else(|e| panic!("thread {t} put {i}: {e}"));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            worker.join().unwrap();
+        }
+        drop(store);
+        let reloaded = MemoStore::open(&dir).unwrap();
+        assert_eq!(reloaded.len() as u64, THREADS * PUTS);
+        assert_eq!(reloaded.corrupt_lines(), 0);
+        for t in 0..THREADS {
+            for i in 0..PUTS {
+                let got = reloaded.get(t, &format!("cfg-{i}")).unwrap();
+                assert_eq!(got.digest, t * PUTS + i);
+            }
+        }
+        assert!(!dir.join(format!("{MEMO_FILE}.tmp")).exists());
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

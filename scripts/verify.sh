@@ -97,6 +97,25 @@ echo "==> audited figures are byte-identical (invariant auditor observes, never 
 cmp "$FUZZ_DIR/plain.md" "$FUZZ_DIR/audited.md" \
     || { echo "verify: --audit changed fig10 output" >&2; exit 1; }
 
+echo "==> engine-independence gate (SoA bank vs audited data engine vs live generation)"
+# Per-config experiments run fault-free configs on the banked SoA engine
+# by default. --audit re-runs every config on the data-carrying engine
+# under the InvariantAuditor and cross-checks the bank; --no-trace-store
+# streams live generator runs instead of replaying recordings. ext_fault
+# keeps its fault-injecting configs on the data engine in all three.
+ENGINE_IDS="fig01 fig19 ext_bytes ext_assoc ext_fault"
+# shellcheck disable=SC2086
+"$FIGURES" --scale quick --jobs 1 --quiet $ENGINE_IDS > "$FUZZ_DIR/engine-plain.md"
+# shellcheck disable=SC2086
+"$FIGURES" --scale quick --jobs 1 --quiet --audit $ENGINE_IDS > "$FUZZ_DIR/engine-audit.md"
+# shellcheck disable=SC2086
+"$FIGURES" --scale quick --jobs 1 --quiet --no-trace-store $ENGINE_IDS \
+    > "$FUZZ_DIR/engine-live.md"
+cmp "$FUZZ_DIR/engine-plain.md" "$FUZZ_DIR/engine-audit.md" \
+    || { echo "verify: --audit (data engine) differs from the SoA bank" >&2; exit 1; }
+cmp "$FUZZ_DIR/engine-plain.md" "$FUZZ_DIR/engine-live.md" \
+    || { echo "verify: --no-trace-store (streamed) differs from the replayed bank" >&2; exit 1; }
+
 echo "==> cwp-serve load + chaos gate (admission, panics, kill-and-resume, warm rps)"
 SERVE=target/release/cwp-serve
 LOAD=target/release/cwp-load
