@@ -296,6 +296,8 @@ struct Shared {
     store: TraceStore,
     memo: MemoStore,
     /// Workload name -> trace content hash, learned on first recording.
+    /// Keys memo lookups for batches whose trace no longer fits the
+    /// store (degraded live generation).
     hashes: Mutex<HashMap<String, u64>>,
     clients: Mutex<HashMap<u64, Sender<Response>>>,
     dedup: Mutex<DedupWindow>,
@@ -945,34 +947,35 @@ impl Shared {
                 req_key: req_key.clone(),
             },
         );
-        match self.queue.admit(entry) {
-            Ok(depth) => {
-                self.metrics.admitted.inc();
-                self.metrics.inflight.add(1);
-                self.emit(Event::RequestAdmitted {
-                    request: seq,
-                    depth: depth.min(u32::MAX as usize) as u32,
-                });
-            }
-            Err(shed) => {
-                self.sup().complete(seq); // roll back the registration
-                let retry_after_ms = shed.retry_after_ms();
-                // A shed request never ran: clear its dedup claim so
-                // the client's retry is admitted fresh.
-                self.dedup_drop(&req_key, &Reject::Overloaded { retry_after_ms });
-                self.metrics.shed.inc();
-                self.emit(Event::RequestShed {
-                    request: seq,
-                    retry_after_ms,
-                });
-                self.respond(
-                    client,
-                    Response::Error {
-                        id: Some(id),
-                        reject: Reject::Overloaded { retry_after_ms },
-                    },
-                );
-            }
+        // Counted before a worker can see the entry: a memo hit can be
+        // answered before `admit` returns, and the snapshot must never
+        // show a request served but not yet admitted.
+        let admitted = self.queue.admit(entry, |depth| {
+            self.metrics.admitted.inc();
+            self.metrics.inflight.add(1);
+            self.emit(Event::RequestAdmitted {
+                request: seq,
+                depth: depth.min(u32::MAX as usize) as u32,
+            });
+        });
+        if let Err(shed) = admitted {
+            self.sup().complete(seq); // roll back the registration
+            let retry_after_ms = shed.retry_after_ms();
+            // A shed request never ran: clear its dedup claim so
+            // the client's retry is admitted fresh.
+            self.dedup_drop(&req_key, &Reject::Overloaded { retry_after_ms });
+            self.metrics.shed.inc();
+            self.emit(Event::RequestShed {
+                request: seq,
+                retry_after_ms,
+            });
+            self.respond(
+                client,
+                Response::Error {
+                    id: Some(id),
+                    reject: Reject::Overloaded { retry_after_ms },
+                },
+            );
         }
     }
 
@@ -1276,12 +1279,12 @@ fn serve_batch(shared: &Shared, leader: Entry) {
     let degraded = trace.is_none();
     let trace_hash = match &trace {
         Some(trace) => {
+            // Hashed once per recording, then cached on the trace.
             let hash = trace.content_hash();
-            shared
-                .hashes
-                .lock()
-                .expect("hashes lock")
-                .insert(name.clone(), hash);
+            let mut hashes = shared.hashes.lock().expect("hashes lock");
+            if !hashes.contains_key(&name) {
+                hashes.insert(name.clone(), hash);
+            }
             Some(hash)
         }
         // The trace alone exceeds the store budget: fall back to live
@@ -1297,8 +1300,9 @@ fn serve_batch(shared: &Shared, leader: Entry) {
     };
 
     // Memo pass: answer hits immediately, collect misses for the sim.
-    // The trace fetch above is billed to every batch member as `prep`
-    // (on a cold store it records the whole trace).
+    // `prep` bills every batch member for the store fetch and the
+    // trace's digest above: a lookup and a cached value when warm; on a
+    // cold store, recording the whole trace and hashing it once.
     let mut misses: Vec<(Entry, String)> = Vec::new();
     for mut entry in batch {
         let prep = entry.span.mark("prep");

@@ -53,7 +53,7 @@ mod tests {
     use cwp_cache::CacheConfig;
     use cwp_core::sim::{simulate, simulate_many};
     use cwp_core::store::TraceStore;
-    use cwp_trace::{workloads, Scale};
+    use cwp_trace::{workloads, RecordedTrace, Scale};
 
     use crate::engine::{Engine, EngineConfig};
     use crate::protocol::{Reject, Request, Response, ResultSummary};
@@ -274,6 +274,56 @@ mod tests {
     }
 
     #[test]
+    fn an_evicted_re_recorded_workload_keeps_its_memo_entries() {
+        let size = |name: &str| {
+            let workload = workloads::by_name(name).unwrap();
+            RecordedTrace::record(workload.as_ref(), Scale::Test).approx_bytes()
+        };
+        let (grr, yacc) = (size("grr"), size("yacc"));
+        let engine = test_engine(|c| {
+            // Holds either recording, never both.
+            c.trace_budget_bytes = grr.max(yacc) + grr.min(yacc) - 1;
+            c.workers = 1;
+        });
+        let (client, responses) = engine.attach_client();
+        let serve = |id: u64, workload: &str| {
+            engine.submit(client, &request(id, workload, 4096).to_line());
+            let response = responses.recv_timeout(Duration::from_secs(60)).unwrap();
+            let (_, memo_hit, degraded) = expect_ok(&response);
+            assert!(!degraded, "{workload} must fit the store: {response:?}");
+            memo_hit
+        };
+        assert!(!serve(1, "grr"));
+        assert!(!serve(2, "yacc"), "yacc records and evicts grr");
+        assert!(
+            serve(3, "grr"),
+            "the re-recorded grr must hash to its memo key"
+        );
+
+        engine.submit(client, "{\"id\": 99, \"metrics\": true}");
+        let snapshot = match responses.recv_timeout(Duration::from_secs(10)).unwrap() {
+            Response::Metrics { id: 99, snapshot } => snapshot,
+            other => panic!("expected Metrics, got {other:?}"),
+        };
+        let read = |section: &str, name: &str| {
+            snapshot
+                .get(section)
+                .and_then(|s| s.get(name))
+                .and_then(cwp_obs::Json::as_u64)
+                .unwrap_or_else(|| panic!("snapshot missing {section}.{name}: {snapshot:?}"))
+        };
+        assert_eq!(read("store", "recordings"), 3, "grr was re-recorded");
+        assert_eq!(read("store", "evictions"), 2);
+        assert_eq!(
+            read("counters", "memo_misses"),
+            2,
+            "the hit never simulated"
+        );
+        assert_eq!(read("counters", "memo_hits"), 1);
+        engine.shutdown();
+    }
+
+    #[test]
     fn queued_compatible_requests_coalesce_into_one_banked_pass() {
         let engine = test_engine(|c| {
             c.workers = 1; // one worker so requests actually queue up
@@ -452,7 +502,10 @@ mod tests {
         let memo_dir = dir.join("memo");
         let metrics_path = dir.join("metrics.json");
         std::fs::create_dir_all(&dir).unwrap();
-        let faulty = Arc::new(FaultyIo::new(FaultPlan::transient_only(100_000, 0xD4A1)));
+        // At 30% the schedule's first fault lands on the 4th I/O op. At
+        // 10% it landed on the 23rd, about as many ops as a run makes,
+        // so a run that finished a little faster injected nothing.
+        let faulty = Arc::new(FaultyIo::new(FaultPlan::transient_only(300_000, 0xD4A1)));
         let engine = test_engine(|c| {
             c.workers = 1;
             c.memo_dir = Some(memo_dir.clone());

@@ -100,7 +100,11 @@ impl AdmissionQueue {
     /// the client's in-flight count incremented; the caller now owes
     /// exactly one response (and one [`AdmissionQueue::done`] call) for
     /// it. Returns the queue depth after admission.
-    pub fn admit(&self, entry: Entry) -> Result<usize, Shed> {
+    ///
+    /// `on_admit` runs with that depth under the queue lock, before any
+    /// worker can pop the entry: admission accounting done there always
+    /// precedes the entry's settlement, however fast a worker answers.
+    pub fn admit(&self, entry: Entry, on_admit: impl FnOnce(usize)) -> Result<usize, Shed> {
         let mut state = self.state.lock().expect("queue lock");
         let depth = state.len;
         if depth >= self.capacity {
@@ -118,6 +122,7 @@ impl AdmissionQueue {
         let level = usize::from(entry.request.priority).min(PRIORITY_LEVELS - 1);
         state.levels[level].push_back(entry);
         state.len += 1;
+        on_admit(depth + 1);
         drop(state);
         self.ready.notify_one();
         Ok(depth + 1)
@@ -261,9 +266,9 @@ mod tests {
     #[test]
     fn a_full_queue_sheds_with_a_growing_retry_hint() {
         let queue = AdmissionQueue::new(2, 10);
-        queue.admit(entry(1, 1, 0)).unwrap();
-        queue.admit(entry(2, 1, 0)).unwrap();
-        match queue.admit(entry(3, 1, 0)) {
+        queue.admit(entry(1, 1, 0), |_| {}).unwrap();
+        queue.admit(entry(2, 1, 0), |_| {}).unwrap();
+        match queue.admit(entry(3, 1, 0), |_| {}) {
             Err(Shed::QueueFull { retry_after_ms }) => assert_eq!(retry_after_ms, 35),
             other => panic!("expected QueueFull, got {other:?}"),
         }
@@ -272,25 +277,25 @@ mod tests {
     #[test]
     fn a_client_over_its_inflight_cap_is_shed_until_done_frees_a_slot() {
         let queue = AdmissionQueue::new(100, 2);
-        queue.admit(entry(1, 7, 0)).unwrap();
-        queue.admit(entry(2, 7, 0)).unwrap();
+        queue.admit(entry(1, 7, 0), |_| {}).unwrap();
+        queue.admit(entry(2, 7, 0), |_| {}).unwrap();
         assert!(matches!(
-            queue.admit(entry(3, 7, 0)),
+            queue.admit(entry(3, 7, 0), |_| {}),
             Err(Shed::ClientSaturated { .. })
         ));
         // A different client is unaffected.
-        queue.admit(entry(4, 8, 0)).unwrap();
+        queue.admit(entry(4, 8, 0), |_| {}).unwrap();
         queue.done(7);
-        queue.admit(entry(5, 7, 0)).unwrap();
+        queue.admit(entry(5, 7, 0), |_| {}).unwrap();
     }
 
     #[test]
     fn pop_serves_higher_priorities_first_and_fifo_within_a_level() {
         let queue = AdmissionQueue::new(10, 10);
-        queue.admit(entry(1, 1, 0)).unwrap();
-        queue.admit(entry(2, 1, 3)).unwrap();
-        queue.admit(entry(3, 1, 1)).unwrap();
-        queue.admit(entry(4, 1, 3)).unwrap();
+        queue.admit(entry(1, 1, 0), |_| {}).unwrap();
+        queue.admit(entry(2, 1, 3), |_| {}).unwrap();
+        queue.admit(entry(3, 1, 1), |_| {}).unwrap();
+        queue.admit(entry(4, 1, 3), |_| {}).unwrap();
         let order: Vec<u64> = (0..4).map(|_| queue.pop().unwrap().seq).collect();
         assert_eq!(order, [2, 4, 3, 1]);
     }
@@ -299,7 +304,7 @@ mod tests {
     fn drain_matching_takes_only_matching_entries_and_respects_max() {
         let queue = AdmissionQueue::new(10, 10);
         for seq in 1..=6 {
-            queue.admit(entry(seq, 1, 0)).unwrap();
+            queue.admit(entry(seq, 1, 0), |_| {}).unwrap();
         }
         let drained = queue.drain_matching(3, |e| e.seq % 2 == 0);
         let seqs: Vec<u64> = drained.iter().map(|e| e.seq).collect();
@@ -312,9 +317,9 @@ mod tests {
     #[test]
     fn requeue_bypasses_admission_limits() {
         let queue = AdmissionQueue::new(1, 1);
-        queue.admit(entry(1, 1, 0)).unwrap();
+        queue.admit(entry(1, 1, 0), |_| {}).unwrap();
         let popped = queue.pop().unwrap();
-        assert!(queue.admit(entry(2, 1, 0)).is_err());
+        assert!(queue.admit(entry(2, 1, 0), |_| {}).is_err());
         queue.requeue(popped); // a retry of seq 1 must always fit
         assert_eq!(queue.pop().unwrap().seq, 1);
     }
@@ -322,9 +327,9 @@ mod tests {
     #[test]
     fn depths_and_inflight_mirror_queue_state() {
         let queue = AdmissionQueue::new(10, 10);
-        queue.admit(entry(1, 1, 0)).unwrap();
-        queue.admit(entry(2, 1, 3)).unwrap();
-        queue.admit(entry(3, 2, 3)).unwrap();
+        queue.admit(entry(1, 1, 0), |_| {}).unwrap();
+        queue.admit(entry(2, 1, 3), |_| {}).unwrap();
+        queue.admit(entry(3, 2, 3), |_| {}).unwrap();
         assert_eq!(queue.depths(), [1, 0, 0, 2]);
         assert_eq!(queue.inflight(), (2, 3));
         // Popping moves work out of the queue but it stays in flight
@@ -339,9 +344,34 @@ mod tests {
     #[test]
     fn close_wakes_poppers_with_none_after_draining() {
         let queue = std::sync::Arc::new(AdmissionQueue::new(10, 10));
-        queue.admit(entry(1, 1, 0)).unwrap();
+        queue.admit(entry(1, 1, 0), |_| {}).unwrap();
         queue.close();
         assert_eq!(queue.pop().unwrap().seq, 1);
         assert!(queue.pop().is_none());
+    }
+
+    #[test]
+    fn admission_accounting_finishes_before_a_worker_can_pop() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        let queue = Arc::new(AdmissionQueue::new(10, 10));
+        let counted = Arc::new(AtomicBool::new(false));
+        let worker = {
+            let (queue, counted) = (Arc::clone(&queue), Arc::clone(&counted));
+            std::thread::spawn(move || {
+                let entry = queue.pop().unwrap();
+                (entry.seq, counted.load(Ordering::SeqCst))
+            })
+        };
+        std::thread::sleep(std::time::Duration::from_millis(20)); // worker waits in pop
+        queue
+            .admit(entry(1, 1, 0), |depth| {
+                assert_eq!(depth, 1);
+                // A slow accounting step still lands before the pop.
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                counted.store(true, Ordering::SeqCst);
+            })
+            .unwrap();
+        assert_eq!(worker.join().unwrap(), (1, true));
     }
 }

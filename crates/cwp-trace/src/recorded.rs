@@ -40,6 +40,7 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use cwp_chaos::ChaosIo;
 
@@ -170,6 +171,9 @@ pub struct RecordedTrace {
     /// References per full chunk (every chunk but the last is full).
     chunk_refs: usize,
     summary: TraceSummary,
+    /// [`RecordedTrace::content_hash`], filled on its first call. A
+    /// sealed recording never changes, so the value cannot go stale.
+    digest: OnceLock<u64>,
 }
 
 impl Default for RecordedTrace {
@@ -179,6 +183,7 @@ impl Default for RecordedTrace {
             len: 0,
             chunk_refs: CHUNK_REFS,
             summary: TraceSummary::default(),
+            digest: OnceLock::new(),
         }
     }
 }
@@ -269,7 +274,21 @@ impl RecordedTrace {
     /// digest is a stable identity for memoizing simulation results
     /// keyed by `(trace, configuration)` — including across processes
     /// and save/load round trips, which byte-preserve the encoding.
+    /// On-disk memo journals are keyed by this value, so the function
+    /// and its byte order must never change.
+    ///
+    /// The first call reads every byte of the recording (about
+    /// [`APPROX_BYTES_PER_REF`] per reference); later calls return the
+    /// cached digest. Recording never computes it, so a caller that
+    /// never asks pays nothing.
     pub fn content_hash(&self) -> u64 {
+        *self.digest.get_or_init(|| self.fnv1a())
+    }
+
+    /// FNV-1a over the run totals, then every gap, address and
+    /// metadata byte in order. The uncached body of
+    /// [`RecordedTrace::content_hash`].
+    fn fnv1a(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = FNV_OFFSET;
@@ -726,6 +745,40 @@ mod tests {
             RecordedTrace::default().content_hash(),
             "the empty trace hashes differently"
         );
+    }
+
+    /// `content_hash()` of yacc at `Scale::Test`. Memo journals on disk
+    /// are keyed by this digest: if it changes, every journal misses.
+    const YACC_TEST_DIGEST: u64 = 0xf696_588c_a32a_eb05;
+
+    #[test]
+    fn content_hash_is_pinned_lazy_and_cached() {
+        let w = workloads::yacc();
+        let trace = RecordedTrace::record(w.as_ref(), Scale::Test);
+        assert!(trace.digest.get().is_none(), "recording must not hash");
+        let unhashed = trace.clone();
+        assert_eq!(trace.content_hash(), YACC_TEST_DIGEST);
+        assert_eq!(trace.digest.get(), Some(&YACC_TEST_DIGEST));
+        assert_eq!(trace.content_hash(), YACC_TEST_DIGEST, "cached value");
+        assert_eq!(trace, unhashed, "equality ignores the cached digest");
+
+        // A clone carries the cached value; every fresh recording of
+        // the same content computes the same one.
+        let clone = trace.clone();
+        assert_eq!(clone.digest.get(), Some(&YACC_TEST_DIGEST));
+        assert_eq!(clone.content_hash(), YACC_TEST_DIGEST);
+        assert_eq!(unhashed.content_hash(), YACC_TEST_DIGEST);
+        let rechunked = rechunk(&trace, 64);
+        assert!(rechunked.digest.get().is_none());
+        assert_eq!(rechunked.content_hash(), YACC_TEST_DIGEST);
+        let dir = std::env::temp_dir().join(format!("cwp-digest-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("yacc.cwptrc");
+        trace.save(&path).unwrap();
+        let loaded = RecordedTrace::load(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(loaded.digest.get().is_none());
+        assert_eq!(loaded.content_hash(), YACC_TEST_DIGEST);
     }
 
     #[test]

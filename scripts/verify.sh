@@ -143,7 +143,7 @@ start_serve() {
 start_serve --workers 4 --fault-one-in 16 --max-attempts 4 --seed 7 \
     --metrics-file "$SERVE_DIR/metrics.json" --metrics-period-ms 100
 "$LOAD" --addr "$SERVE_ADDR" --requests 1200 --clients 4 --warmup \
-    --out results/BENCH_serve.json > /dev/null &
+    --out "$SERVE_DIR/bench.json" > /dev/null &
 LOAD_PID=$!
 # Mid-load: metrics requests bypass admission, so a snapshot must come
 # back even while the server is saturated with the bench traffic.
@@ -163,11 +163,11 @@ M_SERVED=$(num "$SERVE_DIR/final.json" served)
 M_SHED=$(num "$SERVE_DIR/final.json" shed)
 M_FAILED=$(num "$SERVE_DIR/final.json" failed)
 M_DEADLINE=$(num "$SERVE_DIR/final.json" deadline_expired)
-L_OK=$(sed -n 's/.*"ok":\([0-9]*\).*/\1/p' results/BENCH_serve.json | head -n 1)
-L_SHED=$(num results/BENCH_serve.json shed_retries)
-L_FAILED=$(num results/BENCH_serve.json failed)
-L_DEADLINE=$(num results/BENCH_serve.json deadline_exceeded)
-L_WARMUP=$(num results/BENCH_serve.json warmup_requests)
+L_OK=$(sed -n 's/.*"ok":\([0-9]*\).*/\1/p' "$SERVE_DIR/bench.json" | head -n 1)
+L_SHED=$(num "$SERVE_DIR/bench.json" shed_retries)
+L_FAILED=$(num "$SERVE_DIR/bench.json" failed)
+L_DEADLINE=$(num "$SERVE_DIR/bench.json" deadline_exceeded)
+L_WARMUP=$(num "$SERVE_DIR/bench.json" warmup_requests)
 [ "${M_SERVED:-0}" -eq "$((L_OK + L_WARMUP))" ] \
     || { echo "verify: served $M_SERVED != load ok $L_OK + warmup $L_WARMUP" >&2; exit 1; }
 [ "${M_SHED:-0}" -eq "${L_SHED:-1}" ] \
@@ -205,12 +205,12 @@ SERVE_PID=""
 # Warm-path throughput regression gate: the benched run must clear
 # 10k requests/s (release build, all-memoized sweep points), and its
 # p99 latency must stay under a generous 250ms ceiling.
-RPS=$(sed -n 's/.*"requests_per_second":\([0-9]*\)[.,}].*/\1/p' results/BENCH_serve.json)
+RPS=$(sed -n 's/.*"requests_per_second":\([0-9]*\)[.,}].*/\1/p' "$SERVE_DIR/bench.json")
 [ "${RPS:-0}" -ge 10000 ] \
     || { echo "verify: warm serve throughput ${RPS:-0} rps below the 10k floor" >&2; exit 1; }
-P99=$(sed -n 's/.*"p99_us":\([0-9]*\).*/\1/p' results/BENCH_serve.json | head -n 1)
+P99=$(sed -n 's/.*"p99_us":\([0-9]*\).*/\1/p' "$SERVE_DIR/bench.json" | head -n 1)
 [ -n "${P99:-}" ] \
-    || { echo "verify: BENCH_serve.json is missing p99_us" >&2; exit 1; }
+    || { echo "verify: the load report is missing p99_us" >&2; exit 1; }
 [ "$P99" -le 250000 ] \
     || { echo "verify: bench p99 ${P99}us above the 250ms ceiling" >&2; exit 1; }
 
